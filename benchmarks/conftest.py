@@ -7,10 +7,13 @@ comparison survives pytest's output capture.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.evaluation import get_or_build_system
 
+_HERE = Path(__file__).parent
 _REPORTS: list[str] = []
 
 
@@ -55,9 +58,13 @@ def pytest_collection_modifyitems(config, items):
     pytest-benchmark skips tests that don't request the ``benchmark``
     fixture when ``--benchmark-only`` is passed; in this directory those
     tests ARE the benchmark deliverable (they regenerate the paper's
-    tables), so opt every collected item into the fixture.
+    tables), so opt this directory's items into the fixture.  The hook
+    sees every collected item of the session, so items elsewhere (the
+    tier-1 ``tests/``) are left alone.
     """
     for item in items:
+        if _HERE not in item.path.parents:
+            continue
         names = getattr(item, "fixturenames", None)
         if names is not None and "benchmark" not in names:
             names.append("benchmark")

@@ -3,7 +3,8 @@
 Every benchmark prints "paper" rows (these constants) next to "ours" rows
 (measured on the simulator substrate).  Absolute values are not expected
 to match — the substrate is a simulator, not the authors' testbed — but
-the orderings and rough ratios should (see DESIGN.md, shape targets).
+the orderings and rough ratios should: each ``bench_*.py`` asserts them
+in its ``Test*Shape`` class.
 """
 
 from __future__ import annotations

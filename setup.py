@@ -2,7 +2,8 @@
 
 The execution environment has no ``wheel`` package and no network, so PEP
 517 editable installs fail; this shim lets ``pip install -e .`` take the
-classic ``setup.py develop`` path.  All metadata lives in pyproject.toml.
+classic ``setup.py develop`` path.  All package metadata lives here (the
+repo has no ``pyproject.toml``).
 """
 
 from setuptools import find_packages, setup

@@ -1,7 +1,7 @@
 """``repro.datasets`` — the RADIATE-like multi-sensor driving dataset.
 
 Stands in for the public RADIATE dataset used by the paper (no network
-access in this environment); see DESIGN.md for the substitution argument.
+access in this environment).
 """
 
 from .contexts import (

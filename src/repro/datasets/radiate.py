@@ -1,7 +1,6 @@
 """RadiateSim: the RADIATE-like multi-sensor object-detection dataset.
 
-This stands in for the real RADIATE dataset [22] (see DESIGN.md,
-substitution table).  It produces deterministic, seed-reproducible samples,
+This stands in for the real RADIATE dataset [22].  It produces deterministic, seed-reproducible samples,
 each carrying the four sensor tensors, canonical-frame annotations and a
 context label — exactly the interface the EcoFusion pipeline consumes.
 """

@@ -18,9 +18,21 @@ Modality characteristics (and why they matter to EcoFusion):
   to backscatter in rain/snow and range in fog.
 * **Radar** — coarse (rendered at quarter resolution) and nearly blind to
   low-RCS objects (pedestrians, bicycles), but almost weather-invariant.
+
+Per-frame host cost: every per-object draw that depends only on the
+object's ``appearance_seed`` (camera colour, radar amplitude/ghost draws,
+phantom layouts) is memoized in a bounded LRU, lidar restores a memoized
+PCG64 state instead of re-seeding a generator, and RNG-free images (camera
+background, vignette, radar grid) are built once as read-only arrays.
+The frame RNG is drawn in exactly the original order, so every rendered
+tensor is bit-identical to the uncached renderer.
 """
 
 from __future__ import annotations
+
+import math
+import threading
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -101,17 +113,46 @@ CLASS_LIDAR_HEIGHT: dict[str, float] = {
 MAX_DISPARITY = 3.0
 
 
+# Entries per seed-keyed memo: a few hundred bytes each, far more than
+# the distinct objects of any drive, so a pass of drives all stays warm.
+OBJECT_MEMO_SIZE = 4096
+# Entries per image memo (one per context x image size; 16 KB each at 64 px).
+_IMAGE_MEMO_SIZE = 32
+
+_LOCAL = threading.local()
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only so no caller can mutate the cache."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=OBJECT_MEMO_SIZE)
+def _seed_state(seed: int) -> dict:
+    return np.random.default_rng(seed).bit_generator.state
+
+
 def _object_rng(obj: SceneObject, salt: int = 0) -> np.random.Generator:
-    """Per-object deterministic rng so both cameras see the same jitter."""
-    return np.random.default_rng(obj.appearance_seed + salt)
+    """Per-object deterministic rng, equal to ``default_rng(seed + salt)``.
+
+    Restores a memoized PCG64 state into this thread's one generator
+    (seeding a fresh one costs ~7x more), so draw from the result before
+    the next call on the same thread.
+    """
+    rng = getattr(_LOCAL, "rng", None)
+    if rng is None:
+        rng = _LOCAL.rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _seed_state(obj.appearance_seed + salt)
+    return rng
 
 
 def _slice_box(box: np.ndarray, size: int) -> tuple[slice, slice]:
-    x1, y1, x2, y2 = box
-    xi1 = int(np.clip(np.floor(x1), 0, size - 1))
-    yi1 = int(np.clip(np.floor(y1), 0, size - 1))
-    xi2 = int(np.clip(np.ceil(x2), xi1 + 1, size))
-    yi2 = int(np.clip(np.ceil(y2), yi1 + 1, size))
+    x1, y1, x2, y2 = box.tolist()
+    xi1 = min(max(math.floor(x1), 0), size - 1)
+    yi1 = min(max(math.floor(y1), 0), size - 1)
+    xi2 = min(max(math.ceil(x2), xi1 + 1), size)
+    yi2 = min(max(math.ceil(y2), yi1 + 1), size)
     return slice(yi1, yi2), slice(xi1, xi2)
 
 
@@ -123,57 +164,97 @@ def disparity_of(obj: SceneObject) -> float:
 # ----------------------------------------------------------------------
 # Camera
 # ----------------------------------------------------------------------
-def _render_camera_background(
-    profile: ContextProfile, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Sky/road gradient with lane markings and mild texture."""
-    img = np.zeros((3, size, size), dtype=np.float32)
+# typed: a numpy float64 level promotes the gradient to float64, a python
+# float does not, so equal values of the two types can give different images.
+@lru_cache(maxsize=_IMAGE_MEMO_SIZE, typed=True)
+def _camera_base(sky_level: float, road_level: float, size: int) -> np.ndarray:
+    """Sky/road gradient with lane markings, (S, S) read-only.
+
+    The scene is grey: all three colour channels equal this image.
+    """
+    img = np.zeros((size, size), dtype=np.float32)
     horizon = int(0.35 * size)
     rows = np.linspace(0, 1, size, dtype=np.float32)[:, None]
-    sky = profile.sky_level * (1.0 - 0.3 * rows)
-    road = profile.road_level * (0.8 + 0.4 * rows)
-    base = np.where(np.arange(size)[:, None] < horizon, sky, road)
-    img[:] = base[None, :, :]
+    sky = sky_level * (1.0 - 0.3 * rows)
+    road = road_level * (0.8 + 0.4 * rows)
+    img[:] = np.where(np.arange(size)[:, None] < horizon, sky, road)
     # Lane markings: two light dashed stripes converging toward the horizon.
     for lane_x in (0.35, 0.65):
         for y in range(horizon + 2, size, 3):
             t = (y - horizon) / max(size - horizon, 1)
             x = int(size * (0.5 + (lane_x - 0.5) * t))
             if 0 <= x < size:
-                img[:, y, max(x - 1, 0) : x + 1] += 0.25
-    img += rng.normal(0.0, 0.01, size=img.shape).astype(np.float32)
-    return img
+                img[y, max(x - 1, 0) : x + 1] += 0.25
+    return _frozen(img)
+
+
+def _render_camera_background(
+    profile: ContextProfile, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Sky/road gradient with lane markings and mild texture."""
+    base = _camera_base(profile.sky_level, profile.road_level, size)
+    return base + rng.normal(0.0, 0.01, size=(3, size, size)).astype(np.float32)
+
+
+_VEHICLES = frozenset(("car", "van", "truck", "bus", "motorbike"))
+# Palette columns: body, band (window or head), wheels; +3 = halved (border).
+_BODY, _BAND, _WHEELS, _HALVED = 0, 1, 2, 3
+
+
+@lru_cache(maxsize=OBJECT_MEMO_SIZE)
+def _camera_palette(class_name: str, seed: int) -> np.ndarray:
+    """(3, 6) float32 row colours of one object, shared by both cameras.
+
+    The body colour is jittered by a draw from ``default_rng(seed)``.
+    The band is lighter: a vehicle's window or a pedestrian/bicycle's
+    head.  Columns 3-5 are columns 0-2 halved for the 1-px border.
+    """
+    jitter = float(np.random.default_rng(seed).uniform(0.85, 1.15))
+    body = np.array(CLASS_COLORS[class_name], dtype=np.float32) * jitter
+    band = np.minimum(body * (1.5 if class_name in _VEHICLES else 1.4), 1.0)
+    palette = np.stack([body, band, np.full(3, 0.12, dtype=np.float32)], axis=1)
+    return _frozen(np.concatenate([palette, palette * 0.5], axis=1))
+
+
+@lru_cache(maxsize=256)
+def _row_pattern(h: int, is_vehicle: bool) -> np.ndarray:
+    """Palette column of each of an ``h``-row object's rows."""
+    rows = np.full(h, _BODY, dtype=np.intp)
+    if is_vehicle and h >= 4:
+        # Window band near the top, wheel band at the bottom.
+        rows[1 : max(h // 3, 1) + 1] = _BAND
+        rows[h - max(h // 5, 1) :] = _WHEELS
+    elif h >= 4:
+        rows[: max(h // 4, 1)] = _BAND
+    rows[[0, -1]] += _HALVED
+    return _frozen(rows)
+
+
+@lru_cache(maxsize=256)
+def _border_columns(w: int) -> np.ndarray:
+    """Per-column factor of a ``w``-wide object: its edge columns halve."""
+    cols = np.ones(w, dtype=np.float32)
+    cols[[0, -1]] = 0.5
+    return _frozen(cols)
 
 
 def _draw_camera_object(img: np.ndarray, obj: SceneObject, shift_x: float) -> None:
-    """Paint one object (body, window/head band, wheel band, border)."""
+    """Paint one object (body, window/head band, wheel band, border).
+
+    Every pixel is a row colour times a column factor; the border halving
+    is exact in float32, so the corners' two halvings equal one quarter.
+    """
     size = img.shape[1]
     box = obj.box.copy()
     box[0] += shift_x
     box[2] += shift_x
     ys, xs = _slice_box(box, size)
-    if ys.stop - ys.start < 2 or xs.stop - xs.start < 2:
+    h, w = ys.stop - ys.start, xs.stop - xs.start
+    if h < 2 or w < 2:
         return
-    rng = _object_rng(obj)
-    color = np.array(CLASS_COLORS[obj.class_name], dtype=np.float32)
-    color = color * float(rng.uniform(0.85, 1.15))
-    img[:, ys, xs] = color[:, None, None]
-    h = ys.stop - ys.start
-    is_vehicle = obj.class_name in ("car", "van", "truck", "bus", "motorbike")
-    if is_vehicle and h >= 4:
-        # Window band (lighter) near the top, wheel band (dark) at bottom.
-        win = slice(ys.start + 1, ys.start + max(h // 3, 1) + 1)
-        img[:, win, xs] = np.minimum(color[:, None, None] * 1.5, 1.0)
-        wheels = slice(ys.stop - max(h // 5, 1), ys.stop)
-        img[:, wheels, xs] = 0.12
-    elif h >= 4:  # pedestrians / bicycles: brighter head region
-        head = slice(ys.start, ys.start + max(h // 4, 1))
-        img[:, head, xs] = np.minimum(color[:, None, None] * 1.4, 1.0)
-    # 1-px darker border for edge contrast.
-    img[:, ys.start, xs] *= 0.5
-    img[:, ys.stop - 1, xs] *= 0.5
-    img[:, ys, xs.start] *= 0.5
-    img[:, ys, xs.stop - 1] *= 0.5
+    palette = _camera_palette(obj.class_name, obj.appearance_seed)
+    rows = palette[:, _row_pattern(h, obj.class_name in _VEHICLES)]
+    np.multiply(rows[:, :, None], _border_columns(w), out=img[:, ys, xs])
 
 
 def _apply_camera_degradation(
@@ -205,24 +286,16 @@ def _apply_camera_degradation(
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
-def _draw_phantoms(
-    img: np.ndarray, profile: ContextProfile, rng: np.random.Generator
-) -> None:
-    """Paint phantom obstacles (fog banks / snow clumps / wiper smears).
+@lru_cache(maxsize=OBJECT_MEMO_SIZE)
+def _phantom_layout(seed: int, rate: float, size: int) -> tuple:
+    """``(ys, xs, tint)`` per phantom, drawn from ``default_rng(seed)``.
 
-    Phantoms are vehicle-sized grayish patches with a darker border —
-    enough object-like structure to fool a camera detector, but they
-    exist in no other modality and are absent from the ground truth.
     The phantom count is Poisson with the context's ``phantom_rate``.
-    Both stereo views must call this with the *same* rng state so the
-    phantom field is consistent across the pair.
     """
-    rate = profile.camera.phantom_rate
-    if rate <= 0:
-        return
-    size = img.shape[1]
+    rng = np.random.default_rng(seed)
     horizon = int(0.35 * size)
     count = int(rng.poisson(rate))
+    layout = []
     for _ in range(count):
         w = float(rng.uniform(10, 26))
         h = float(rng.uniform(8, 18))
@@ -234,6 +307,23 @@ def _draw_phantoms(
             continue
         tone = float(rng.uniform(0.45, 0.7))
         tint = np.array([tone, tone * rng.uniform(0.9, 1.1), tone], dtype=np.float32)
+        layout.append((ys, xs, _frozen(tint)))
+    return tuple(layout)
+
+
+def _draw_phantoms(img: np.ndarray, profile: ContextProfile, seed: int) -> None:
+    """Paint phantom obstacles (fog banks / snow clumps / wiper smears).
+
+    Phantoms are vehicle-sized grayish patches with a darker border —
+    enough object-like structure to fool a camera detector, but they
+    exist in no other modality and are absent from the ground truth.
+    Both stereo views pass the *same* seed so the phantom field is
+    consistent across the pair.
+    """
+    rate = profile.camera.phantom_rate
+    if rate <= 0:
+        return
+    for ys, xs, tint in _phantom_layout(seed, rate, img.shape[1]):
         img[:, ys, xs] = 0.4 * img[:, ys, xs] + 0.6 * tint[:, None, None]
         img[:, ys.start, xs] *= 0.7
         img[:, ys.stop - 1, xs] *= 0.7
@@ -261,16 +351,21 @@ def render_camera(
     # Seed phantoms from the scene identity (not the passed rng) so the
     # left and right renders see the same phantom field.
     phantom_seed = scene.objects[0].appearance_seed if scene.objects else scene.image_size
-    _draw_phantoms(img, profile, np.random.default_rng(phantom_seed + 77))
+    _draw_phantoms(img, profile, phantom_seed + 77)
     img = _apply_camera_degradation(img, profile, rng)
     if side == "left":
-        yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
-        r2 = ((yy / size - 0.5) ** 2 + (xx / size - 0.5) ** 2) * 4.0
-        vignette = 1.0 - 0.12 * r2
-        img = img * vignette[None]
-        img = img + rng.normal(0.0, 0.012, size=img.shape).astype(np.float32)
+        img = img * _vignette(size)
+        img += rng.normal(0.0, 0.012, size=img.shape).astype(np.float32)
         img = np.clip(img, 0.0, 1.0).astype(np.float32)
     return img
+
+
+@lru_cache(maxsize=_IMAGE_MEMO_SIZE)
+def _vignette(size: int) -> np.ndarray:
+    """The left camera's radial fall-off, (1, S, S) read-only."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
+    r2 = ((yy / size - 0.5) ** 2 + (xx / size - 0.5) ** 2) * 4.0
+    return _frozen((1.0 - 0.12 * r2)[None])
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +436,10 @@ def render_radar(
     factor = 2
     coarse = size // factor
     grid = np.zeros((coarse, coarse), dtype=np.float32)
-    yy_full, xx_full = np.mgrid[0:coarse, 0:coarse].astype(np.float32)
+    yy_full, xx_full = _coarse_grid(coarse)
     for obj in scene.objects:
-        orng = _object_rng(obj, salt=2)
-        amp = CLASS_RCS[obj.class_name] * float(orng.uniform(0.85, 1.1))
+        jitter, ghost_draw, off = _radar_draws(obj.appearance_seed + 2)
+        amp = CLASS_RCS[obj.class_name] * jitter
         # Reflectivity footprint: the object's extent at coarse resolution,
         # modulated by the class's return texture (surface structure /
         # micro-doppler signature).
@@ -357,9 +452,8 @@ def render_radar(
         stripes = 0.5 * (1.0 + np.sin(phase))
         footprint = amp * (0.55 + 0.45 * stripes)
         grid[ys, xs] = np.maximum(grid[ys, xs], footprint.astype(np.float32))
-        if orng.random() < deg.ghost_prob:
+        if ghost_draw < deg.ghost_prob:
             # Multipath ghost: faint copy displaced radially.
-            off = float(orng.uniform(3.0, 6.0))
             gbox = box + off
             gys, gxs = _slice_box(gbox, coarse)
             if gys.stop > gys.start and gxs.stop > gxs.start:
@@ -371,6 +465,25 @@ def render_radar(
     grid = grid + rng.normal(0.0, deg.noise, size=grid.shape).astype(np.float32)
     full = np.repeat(np.repeat(grid, factor, axis=0), factor, axis=1)
     return np.clip(full[None], 0.0, 1.0).astype(np.float32)
+
+
+@lru_cache(maxsize=_IMAGE_MEMO_SIZE)
+def _coarse_grid(coarse: int) -> np.ndarray:
+    """``(yy, xx)`` float32 pixel coordinates of the radar grid, read-only."""
+    return _frozen(np.mgrid[0:coarse, 0:coarse].astype(np.float32))
+
+
+@lru_cache(maxsize=OBJECT_MEMO_SIZE)
+def _radar_draws(seed: int) -> tuple[float, float, float]:
+    """``(amplitude jitter, ghost draw, ghost offset)`` from ``default_rng(seed)``.
+
+    The offset is drawn even when no ghost appears; the generator is
+    per object, so the extra draw is unobservable.
+    """
+    rng = np.random.default_rng(seed)
+    jitter = float(rng.uniform(0.85, 1.1))
+    ghost_draw = float(rng.random())
+    return jitter, ghost_draw, float(rng.uniform(3.0, 6.0))
 
 
 def render_all_sensors(

@@ -13,13 +13,14 @@ gating policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .contexts import CONTEXTS, ContextProfile, get_context
 from .radiate import Sample
 from .scenes import CLASS_SIZE_RANGES, Scene, SceneObject, generate_scene
-from .sensors import render_all_sensors
+from .sensors import OBJECT_MEMO_SIZE, render_all_sensors
 
 __all__ = ["SequenceFrame", "DrivingSequence", "advance_scene", "generate_sequence"]
 
@@ -60,6 +61,12 @@ class DrivingSequence:
         return [f.sample for f in self.frames]
 
 
+@lru_cache(maxsize=OBJECT_MEMO_SIZE)
+def _drift(seed: int) -> float:
+    """The object's horizontal velocity, from ``default_rng(seed + 13)``."""
+    return float(np.random.default_rng(seed + 13).uniform(-1.2, 1.2))
+
+
 def _advance_objects(
     scene: Scene,
     rng: np.random.Generator,
@@ -74,8 +81,7 @@ def _advance_objects(
     size = scene.image_size
     survivors: list[SceneObject] = []
     for obj in scene.objects:
-        vrng = np.random.default_rng(obj.appearance_seed + 13)
-        vx = float(vrng.uniform(-1.2, 1.2))
+        vx = _drift(obj.appearance_seed)
         new_depth = max(obj.depth - 0.04 * ego_speed, 0.0)
         # Approaching objects grow: scale box about its centre.
         growth = 1.0 + 0.05 * ego_speed * (obj.depth - new_depth + 0.2)
@@ -89,8 +95,7 @@ def _advance_objects(
         )
         if box[2] <= 1 or box[0] >= size - 1 or box[1] >= size - 1:
             continue  # left the field of view
-        box[0::2] = np.clip(box[0::2], 0, size - 1)
-        box[1::2] = np.clip(box[1::2], 0, size - 1)
+        np.clip(box, 0, size - 1, out=box)
         if box[2] - box[0] < 3 or box[3] - box[1] < 3:
             continue
         survivors.append(

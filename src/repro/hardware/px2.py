@@ -18,7 +18,7 @@ The three free latency parameters are solved exactly from the paper's
 published measurements for the single-camera, early-fusion and late-fusion
 pipelines (Table 1), so simulated energies reproduce the paper's
 *ratios* between configurations — the quantity EcoFusion's optimization
-actually consumes.  See DESIGN.md (substitution table).
+actually consumes.
 """
 
 from __future__ import annotations

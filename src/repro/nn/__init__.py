@@ -2,8 +2,8 @@
 
 The paper's implementation relies on PyTorch; this package replaces it with
 a compact reverse-mode autograd engine plus the layers, losses and
-optimizers the EcoFusion architecture needs (see DESIGN.md, substitution
-table).  The public surface intentionally mirrors PyTorch naming.
+optimizers the EcoFusion architecture needs.  The public surface
+intentionally mirrors PyTorch naming.
 """
 
 from . import functional

@@ -58,10 +58,12 @@ globally — every site falls back to the eager path.
 
 from __future__ import annotations
 
+import math
 import os
 from time import perf_counter
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,7 +234,24 @@ def im2col_indices(c: int, h: int, w: int, kh: int, kw: int,
 # Consequence: a program's outputs are views into the pool and are only
 # valid until the next replay of ANY program.  Integration sites that
 # retain results across replays pass ``copy=True`` to ``maybe_run``.
+#
+# Every request's shape, dtype and byte size is fixed when its kernel is
+# built (see ``_pool_buffer``), so a replay allocation is a bump of the
+# offset plus one ndarray view.
 _ALIGN = 64
+
+
+def _sizing(shape: Sequence[int],
+            dtype) -> tuple[int, int, np.dtype, tuple[int, ...]]:
+    """Resolve a pool request once: ``(nbytes, padded, dtype, shape)``.
+
+    ``padded`` rounds ``nbytes`` up to the pool's 64-byte alignment;
+    shapes may hold numpy integers and come back as python ints.
+    """
+    shape = tuple(int(d) for d in shape)
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    return nbytes, (nbytes + _ALIGN - 1) & ~(_ALIGN - 1), dtype, shape
 
 
 class _ReplayPool:
@@ -243,11 +262,11 @@ class _ReplayPool:
     def reset(self) -> None:
         self.offset = 0
 
-    def alloc(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+    def alloc(self, nbytes: int, padded: int, dtype: np.dtype,
+              shape: tuple[int, ...]) -> np.ndarray:
+        """A view of ``shape``/``dtype`` into the block, sized by ``_sizing``."""
         start = self.offset
-        end = start + ((nbytes + _ALIGN - 1) & ~(_ALIGN - 1))
+        end = start + padded
         if end > self.block.nbytes:
             # Grow to the next power of two covering the request; old
             # views (from replays already consumed) die with the block.
@@ -255,12 +274,23 @@ class _ReplayPool:
             while size < end:
                 size *= 2
             self.block = np.zeros(size, dtype=np.uint8)
-            start, end = 0, ((nbytes + _ALIGN - 1) & ~(_ALIGN - 1))
+            start, end = 0, padded
         self.offset = end
-        return self.block[start : start + nbytes].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, buffer=self.block, offset=start)
 
 
 _POOL = _ReplayPool()
+
+
+@lru_cache(maxsize=4096)
+def _pool_buffer(shape: tuple[int, ...], dtype) -> Callable[[], np.ndarray]:
+    """Build-time allocator for a C-ordered pool buffer.
+
+    Compiled programs request ~9x more buffers than there are distinct
+    (shape, dtype) pairs, so equal requests share one ``partial`` over
+    the process-wide pool (smaller and faster to call than a closure).
+    """
+    return partial(_POOL.alloc, *_sizing(shape, dtype))
 
 
 def _pool_like(ref: np.ndarray, dtype=None) -> Callable[[], np.ndarray]:
@@ -278,17 +308,13 @@ def _pool_like(ref: np.ndarray, dtype=None) -> Callable[[], np.ndarray]:
     perm = sorted(range(ref.ndim), key=lambda i: (-strides[i], i))
     inv = tuple(int(i) for i in np.argsort(perm))
     pshape = tuple(ref.shape[p] for p in perm)
-    dtype = np.dtype(dtype) if dtype is not None else ref.dtype
+    dtype = ref.dtype if dtype is None else dtype
     if perm == list(range(ref.ndim)):
-        shape = ref.shape
-
-        def alloc() -> np.ndarray:
-            return _POOL.alloc(shape, dtype)
-
-        return alloc
+        return _pool_buffer(ref.shape, dtype)
+    buffer = _pool_buffer(pshape, dtype)
 
     def alloc() -> np.ndarray:
-        return _POOL.alloc(pshape, dtype).transpose(inv)
+        return buffer().transpose(inv)
 
     return alloc
 
@@ -647,6 +673,8 @@ def _k_conv2d(node: _Node, ins: tuple[int, ...]) -> Callable:
     # dtype (adding in float64 would change bits), but its result is
     # step-transient, so it lives in the pool too.
     bias_alloc = _pool_like(node.out_ref, dtype=gemm_dtype)
+    cols_alloc = _pool_buffer((n, rows, k), in_dtype)
+    gemm_alloc = _pool_buffer((n * rows, f), gemm_dtype)
     x_slot = ins[0]
     bias_r = None if bias is None else bias.reshape(1, f, 1, 1)
     if bn is not None:
@@ -657,10 +685,10 @@ def _k_conv2d(node: _Node, ins: tuple[int, ...]) -> Callable:
 
     def run(values: list) -> np.ndarray:
         x = values[x_slot]
-        cols = _POOL.alloc((n, rows, k), in_dtype)
+        cols = cols_alloc()
         np.take(flat2d(x), idx, axis=1, out=cols)
         cols2 = cols.reshape(n * rows, k)
-        gemm = _POOL.alloc((n * rows, f), gemm_dtype)
+        gemm = gemm_alloc()
         if invariant:
             _invariant_matmul(cols2, w_t, n, rows, f, out=gemm)
         else:
@@ -785,11 +813,11 @@ def _unary(fn):
 
 def _k_matmul(node: _Node, ins: tuple[int, ...]) -> Callable:
     invariant = node.attrs.get("invariant", False)
-    shape, dtype = node.out_ref.shape, node.out_ref.dtype
+    out_alloc = _pool_buffer(node.out_ref.shape, node.out_ref.dtype)
     a_slot, b_slot = ins
     if invariant:
         def run(values: list) -> np.ndarray:
-            out = _POOL.alloc(shape, dtype)
+            out = out_alloc()
             return _invariant_stacked_matmul(
                 values[a_slot], values[b_slot], out=out
             )
@@ -797,7 +825,7 @@ def _k_matmul(node: _Node, ins: tuple[int, ...]) -> Callable:
         return run
 
     def run(values: list) -> np.ndarray:
-        out = _POOL.alloc(shape, dtype)
+        out = out_alloc()
         np.matmul(values[a_slot], values[b_slot], out=out)
         return out
 
@@ -809,13 +837,13 @@ def _k_softmax(node: _Node, ins: tuple[int, ...]) -> Callable:
     shape, dtype = node.out_ref.shape, node.out_ref.dtype
     red_shape = list(shape)
     red_shape[axis if axis >= 0 else node.out_ref.ndim + axis] = 1
-    red_shape = tuple(red_shape)
+    red_alloc = _pool_buffer(tuple(red_shape), dtype)
     work_alloc = _pool_like(node.out_ref)
     x_slot = ins[0]
 
     def run(values: list) -> np.ndarray:
         x = values[x_slot]
-        red = _POOL.alloc(red_shape, dtype)
+        red = red_alloc()
         work = work_alloc()
         np.max(x, axis=axis, keepdims=True, out=red)
         np.subtract(x, red, out=work)
@@ -835,18 +863,19 @@ def _k_attn_chain(node: _Node, ins: tuple[int, ...]) -> Callable:
     inv_out: bool = a["invariant_out"]
     score_ref: np.ndarray = a["score_ref"]
     scaled_ref: np.ndarray = a["scaled_ref"]
-    out_shape, out_dtype = node.out_ref.shape, node.out_ref.dtype
     red_shape = list(scaled_ref.shape)
     red_shape[axis if axis >= 0 else scaled_ref.ndim + axis] = 1
-    red_shape = tuple(red_shape)
     # The scaled scores promote to the scale constant's dtype (float64
     # for the 1/sqrt(d) python scalar) — one pool buffer carries the
     # mul and the whole in-place softmax, mirroring _k_softmax.
     work_alloc = _pool_like(scaled_ref)
+    scores_alloc = _pool_buffer(score_ref.shape, score_ref.dtype)
+    red_alloc = _pool_buffer(tuple(red_shape), scaled_ref.dtype)
+    out_alloc = _pool_buffer(node.out_ref.shape, node.out_ref.dtype)
     q_slot, kt_slot, v_slot = ins
 
     def run(values: list) -> np.ndarray:
-        scores = _POOL.alloc(score_ref.shape, score_ref.dtype)
+        scores = scores_alloc()
         if inv_scores:
             _invariant_stacked_matmul(values[q_slot], values[kt_slot],
                                       out=scores)
@@ -854,13 +883,13 @@ def _k_attn_chain(node: _Node, ins: tuple[int, ...]) -> Callable:
             np.matmul(values[q_slot], values[kt_slot], out=scores)
         work = work_alloc()
         np.multiply(scores, scale, out=work)
-        red = _POOL.alloc(red_shape, work.dtype)
+        red = red_alloc()
         np.max(work, axis=axis, keepdims=True, out=red)
         np.subtract(work, red, out=work)
         np.exp(work, out=work)
         np.sum(work, axis=axis, keepdims=True, out=red)
         np.divide(work, red, out=work)
-        out = _POOL.alloc(out_shape, out_dtype)
+        out = out_alloc()
         if inv_out:
             _invariant_stacked_matmul(work, values[v_slot], out=out)
         else:
@@ -872,7 +901,7 @@ def _k_attn_chain(node: _Node, ins: tuple[int, ...]) -> Callable:
 
 def _k_reshape(node: _Node, ins: tuple[int, ...]) -> Callable:
     target = node.out_ref.shape
-    dtype = node.out_ref.dtype
+    out_alloc = _pool_buffer(target, node.out_ref.dtype)
     x_slot = ins[0]
 
     def run(values: list) -> np.ndarray:
@@ -881,7 +910,7 @@ def _k_reshape(node: _Node, ins: tuple[int, ...]) -> Callable:
             return x.reshape(target)
         # Non-contiguous source: the eager reshape copied; do the same
         # strided copy into pool memory (same element order).
-        out = _POOL.alloc(target, dtype)
+        out = out_alloc()
         np.copyto(out.reshape(x.shape), x)
         return out
 
@@ -900,13 +929,13 @@ def _k_transpose(node: _Node, ins: tuple[int, ...]) -> Callable:
 
 def _k_pad2d(node: _Node, ins: tuple[int, ...]) -> Callable:
     ph, pw = node.attrs["padding"]
-    shape, dtype = node.out_ref.shape, node.out_ref.dtype
-    h, w = shape[-2], shape[-1]
+    h, w = node.out_ref.shape[-2:]
     interior = (Ellipsis, slice(ph, h - ph), slice(pw, w - pw))
+    out_alloc = _pool_buffer(node.out_ref.shape, node.out_ref.dtype)
     x_slot = ins[0]
 
     def run(values: list) -> np.ndarray:
-        out = _POOL.alloc(shape, dtype)
+        out = out_alloc()
         # Zero only the border; the interior is fully overwritten.
         if ph:
             out[..., :ph, :] = 0

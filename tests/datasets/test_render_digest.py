@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.datasets import SENSORS, RadiateSim, default_counts, generate_sequence
-from repro.datasets.sensors import _slice_box
+from repro.datasets.scenes import SceneObject
+from repro.datasets.sensors import (
+    CLASS_COLORS,
+    _draw_camera_object,
+    _object_rng,
+    _slice_box,
+)
 from repro.simulation import (
     CHAOS_SCENARIOS,
     SCENARIOS,
@@ -137,3 +145,106 @@ class TestSliceBox:
             np.array([math.nextafter(5.0, 0.0), 5.0, math.nextafter(5.0, 9.0), 6.0]),
         ):
             assert _slice_box(box, size) == _slice_box_reference(box, size)
+
+
+def _draw_camera_object_reference(img, obj, shift_x):
+    """The original per-band painter (one slice assignment per band)."""
+    size = img.shape[1]
+    box = obj.box.copy()
+    box[0] += shift_x
+    box[2] += shift_x
+    ys, xs = _slice_box_reference(box, size)
+    if ys.stop - ys.start < 2 or xs.stop - xs.start < 2:
+        return
+    rng = np.random.default_rng(obj.appearance_seed)
+    color = np.array(CLASS_COLORS[obj.class_name], dtype=np.float32)
+    color = color * float(rng.uniform(0.85, 1.15))
+    img[:, ys, xs] = color[:, None, None]
+    h = ys.stop - ys.start
+    is_vehicle = obj.class_name in ("car", "van", "truck", "bus", "motorbike")
+    if is_vehicle and h >= 4:
+        win = slice(ys.start + 1, ys.start + max(h // 3, 1) + 1)
+        img[:, win, xs] = np.minimum(color[:, None, None] * 1.5, 1.0)
+        wheels = slice(ys.stop - max(h // 5, 1), ys.stop)
+        img[:, wheels, xs] = 0.12
+    elif h >= 4:
+        head = slice(ys.start, ys.start + max(h // 4, 1))
+        img[:, head, xs] = np.minimum(color[:, None, None] * 1.4, 1.0)
+    img[:, ys.start, xs] *= 0.5
+    img[:, ys.stop - 1, xs] *= 0.5
+    img[:, ys, xs.start] *= 0.5
+    img[:, ys, xs.stop - 1] *= 0.5
+
+
+class TestCameraObject:
+    def test_matches_reference_painter(self):
+        rng = np.random.default_rng(11)
+        size = 32
+        for i in range(600):
+            x1, y1 = rng.uniform(-8, size + 4, 2)
+            w, h = rng.uniform(0.5, 24, 2)
+            obj = SceneObject(
+                class_name=list(CLASS_COLORS)[i % len(CLASS_COLORS)],
+                box=np.array([x1, y1, x1 + w, y1 + h], dtype=np.float32),
+                depth=float(rng.uniform()),
+                appearance_seed=int(rng.integers(0, 2**31 - 1)),
+            )
+            shift = float(rng.uniform(0, 3)) if i % 2 else 0.0
+            want = rng.uniform(0, 1, (3, size, size)).astype(np.float32)
+            got = want.copy()
+            _draw_camera_object_reference(want, obj, shift)
+            _draw_camera_object(got, obj, shift)
+            assert want.tobytes() == got.tobytes(), (obj, shift)
+
+
+class TestThreads:
+    def test_object_rng_is_per_thread(self):
+        """Concurrent lidar draws each see their own restored generator."""
+        objects = [
+            SceneObject("car", np.zeros(4, np.float32), 0.5, seed)
+            for seed in range(40)
+        ]
+        want = {o.appearance_seed: np.random.default_rng(o.appearance_seed + 1).random(64)
+                for o in objects}
+        errors = []
+
+        def worker():
+            for _ in range(25):
+                for obj in objects:
+                    got = _object_rng(obj, salt=1).random(64)
+                    if not np.array_equal(got, want[obj.appearance_seed]):
+                        errors.append(obj.appearance_seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_concurrent_drives_render_identically(self):
+        drives = [(name, 0.125, 0) for name in VEHICLE_SCENARIOS[:3]]
+        want = _drive_digest(drives)
+        results = []
+
+        def worker():
+            results.append(_drive_digest(drives))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 4

@@ -464,6 +464,82 @@ class TestReplayAllocations:
 
 
 # ----------------------------------------------------------------------
+# Replay pool: build-time sizing, run-time bump allocation
+# ----------------------------------------------------------------------
+def _offset(view, pool):
+    return (view.__array_interface__["data"][0]
+            - pool.block.__array_interface__["data"][0])
+
+
+class TestReplayPool:
+    def test_sizing_accepts_numpy_ints(self):
+        shape = (np.int64(2), np.int32(3), np.uint8(5))
+        nbytes, padded, dtype, resolved = engine._sizing(shape, np.float32)
+        assert resolved == (2, 3, 5)
+        assert all(type(d) is int for d in resolved)
+        assert type(nbytes) is int and type(padded) is int
+        assert (nbytes, padded, dtype) == (120, 128, np.dtype(np.float32))
+        view = engine._ReplayPool(1024).alloc(nbytes, padded, dtype, resolved)
+        assert view.shape == (2, 3, 5) and view.dtype == np.float32
+        assert view.flags.c_contiguous and view.flags.writeable
+
+    def test_equal_requests_share_one_allocator(self):
+        a = engine._pool_buffer((2, 3), np.float32)
+        assert engine._pool_buffer((np.int64(2), 3), np.float32) is a
+        assert engine._pool_buffer((3, 2), np.float32) is not a
+        assert a().shape == (2, 3)
+
+    def test_zero_size_buffers(self):
+        pool = engine._ReplayPool(128)
+        for shape in [(0,), (4, 0, 3), ()]:
+            spec = engine._sizing(shape, np.float64)
+            view = pool.alloc(*spec)
+            assert view.shape == shape and view.dtype == np.float64
+        # zero-size requests take no pool space; () is one scalar
+        assert engine._sizing((0,), np.float64)[:2] == (0, 0)
+        assert pool.offset == 64
+        filler = pool.alloc(*engine._sizing((8,), np.float64))
+        zero_at_end = pool.alloc(*engine._sizing((0, 2), np.float32))
+        assert zero_at_end.size == 0 and _offset(filler, pool) == 64
+        assert pool.block.nbytes == 128  # an empty tail request never grows
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    def test_every_buffer_starts_64_byte_aligned(self, dtype):
+        pool = engine._ReplayPool(4096)
+        views = [pool.alloc(*engine._sizing((n,), dtype)) for n in (1, 7, 13, 64, 3)]
+        starts = [_offset(v, pool) for v in views]
+        assert all(s % 64 == 0 for s in starts)
+        assert starts == sorted(set(starts))  # disjoint, in bump order
+        for a, b in zip(views, views[1:]):
+            assert not np.may_share_memory(a, b)
+
+    def test_block_growth_covers_the_high_water_mark(self):
+        pool = engine._ReplayPool(256)
+        spec = engine._sizing((40,), np.float32)  # 160 B, padded to 192
+        first = pool.alloc(*spec)
+        first[:] = 7.0
+        old_block = pool.block
+        second = pool.alloc(*spec)  # 384 > 256: grow
+        assert pool.block is not old_block
+        assert pool.block.nbytes == 512  # next power of two over 192 + 192
+        assert _offset(second, pool) == 0 and pool.offset == 192
+        assert np.all(first == 7.0)  # old views keep their memory
+        # after a reset the grown block holds the whole replay
+        pool.reset()
+        a, b = pool.alloc(*spec), pool.alloc(*spec)
+        assert pool.block.nbytes == 512
+        assert (_offset(a, pool), _offset(b, pool)) == (0, 192)
+
+    def test_pool_like_keeps_the_traced_layout(self):
+        ref = np.zeros((2, 3, 4, 5), np.float32).transpose(0, 2, 3, 1)
+        alloc = engine._pool_like(ref, dtype=np.float64)
+        out = alloc()
+        assert out.shape == ref.shape and out.dtype == np.float64
+        assert np.argsort(out.strides).tolist() == np.argsort(ref.strides).tolist()
+        assert np.may_share_memory(out, engine._POOL.block)
+
+
+# ----------------------------------------------------------------------
 # im2col gather-index maps
 # ----------------------------------------------------------------------
 class TestIm2colIndices:
